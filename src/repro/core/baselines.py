@@ -141,10 +141,9 @@ class LightGaussianPruner(_BaselinePruner):
         if self._hit_counts is None or self._hit_counts.shape[0] != cloud.n_total:
             self._hit_counts = np.zeros(cloud.n_total)
         counts = np.zeros(cloud.n_total)
-        projected = render.projected
-        for cache in render.tile_caches:
-            per_row = (cache.weights > 0).sum(axis=0)
-            np.add.at(counts, projected.indices[cache.rows], per_row)
+        counts[render.projected.indices] = render.sum_per_gaussian(
+            lambda cache: cache.weights > 0
+        )
         self._hit_counts += counts
         # The dedicated visibility-counting pass is extra work the GPU must do.
         self.stats.extra_evaluation_ops += int(render.n_fragments)
@@ -172,12 +171,9 @@ class FlashGSPruner(LightGaussianPruner):
         super().after_backward(cloud, gradients, render, iteration)
         saliency = _image_saliency(render.image)
         weights = np.zeros(cloud.n_total)
-        projected = render.projected
-        for cache in render.tile_caches:
-            v_idx, u_idx = cache.pixel_indices
-            pixel_saliency = saliency[v_idx, u_idx]
-            per_row = cache.weights.T @ pixel_saliency
-            np.add.at(weights, projected.indices[cache.rows], per_row)
+        weights[render.projected.indices] = render.sum_per_gaussian(
+            lambda cache: cache.weights * saliency[cache.pixel_indices][:, None]
+        )
         if self._saliency_weight is None or self._saliency_weight.shape[0] != cloud.n_total:
             self._saliency_weight = np.zeros(cloud.n_total)
         self._saliency_weight += weights

@@ -116,9 +116,10 @@ def rasterize_backward(
     ``backend=None`` follows the backend that produced ``result``: flat
     renders take the restructured fast path in
     :func:`repro.gaussians.fast_raster.rasterize_backward_flat`, tile renders
-    take the reference implementation below.  Passing ``"tile"`` or ``"flat"``
-    explicitly overrides this (both consume the same cache layout; the
-    differential harness relies on the override to cross-check them).
+    take the reference implementation below.  An explicit ``backend`` must
+    match the layout of ``result.tile_caches``: ``"tile"`` reads per-tile
+    :class:`~repro.gaussians.rasterizer.TileRenderCache` grids, ``"flat"``
+    reads the subtile buckets of a flat render.
     """
     if backend is None:
         backend = getattr(result, "backend", "tile")

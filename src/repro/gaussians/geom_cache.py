@@ -36,23 +36,31 @@ On top of tier reuse the cache recycles two render-to-render artefacts:
 * the **flat fragment arena** is shared grow-only across *all* renders and
   batches served by one cache (``ensure_flat_arena`` keeps the high-water
   mark), not just within one ``rasterize_batch`` call;
-* the previous render's per-tile alphas and transmittances (the software
+* the previous render's per-subtile alphas and transmittances (the software
   analogue of reading the R&B Buffer back) refine the **fragment schedule**
   of the next render of the same view two ways:
 
-  - *contributing-pair refinement*: Gaussians whose bounding box touched a
-    tile but whose alpha stayed below ``ALPHA_CUTOFF / refine_margin`` for
-    every pixel of that tile are dropped — fragments below the cutoff are
-    exactly zero in the compositor, so this is exact at the epoch it was
-    measured and drifts only as far as the tolerance allows between
-    rebuilds (``refine_margin=0`` disables it);
-  - *termination-depth truncation*: each tile's depth-sorted list is capped
-    at the deepest fragment any of its pixels actually processed before
-    early termination, plus ``termination_margin`` headroom.  Every cached
-    render verifies the cap — a capped tile where any pixel's final
-    transmittance is still above the termination threshold triggers a dense
-    re-render of the view — so surviving renders are exact, including the
-    per-pixel fragment counts (``termination_margin=0`` disables it).
+  - *contributing-pair refinement*: Gaussians kept for a subtile whose alpha
+    stayed below ``ALPHA_CUTOFF / refine_margin`` for every pixel of that
+    subtile are dropped — fragments below the cutoff are exactly zero in the
+    compositor, so this is exact at the epoch it was measured and drifts
+    only as far as the tolerance allows between rebuilds
+    (``refine_margin=0`` disables it);
+  - *termination-depth truncation*: each subtile's depth-sorted list is
+    capped at the deepest fragment any pixel of its tile actually processed
+    before early termination, plus ``termination_margin`` headroom.  Every
+    cached render verifies the cap — a capped subtile where any pixel's
+    final transmittance is still above the termination threshold triggers a
+    dense re-render of the view — so surviving renders are exact, including
+    the per-pixel fragment counts (``termination_margin=0`` disables it).
+
+The Step 2 subtile cull (:func:`build_flat_fragments`) depends on opacities,
+so an appearance splice that changes them drops the entry's culled layout;
+it is rebuilt from the cached tile lists when next needed, which keeps the
+``refresh`` tier bit-identical to a full rebuild.  With refinement on, the
+cull runs with the refine margin as opacity headroom: pairs it drops are then
+below ``ALPHA_CUTOFF / refine_margin`` like refined-away ones, so the same
+opacity-drift check guards both.
 
 Because cached renders share one arena, a render must be fully consumed
 (backward pass included) before the next render is requested from the same
@@ -70,6 +78,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.fast_raster import (
     FlatArena,
     FlatFragments,
+    assemble_fragments,
     build_flat_fragments,
     ensure_flat_arena,
     rasterize_flat_into,
@@ -285,24 +294,35 @@ class _CacheEntry:
     max_cam_norm: float
     projected: ProjectedGaussians
     intersections: TileIntersections
-    fragments: FlatFragments
+    # Subtile-culled layout of the full tile lists at the current opacities;
+    # None after a splice changed them (see base_fragments).
+    fragments: FlatFragments | None
+    # Opacity headroom of the cull (the refine margin, or 1 without
+    # refinement).
+    cull_headroom: float = 1.0
     # Epoch the appearance (colours/opacities) of ``projected`` reflects, so
     # repeated lookups at one epoch splice at most once.
     current_epoch: int = 0
     # Refined fragment schedule measured from the last render of this entry:
-    # contributing-pair tile lists, the tiles whose lists were additionally
-    # truncated at their termination depth (those need per-render
-    # verification), and the cloud's cumulative opacity movement at
-    # measurement time (a later opacity swing past the refine margin's
-    # headroom voids the lists).
+    # contributing-pair subtile lists, the global ids of the subtiles whose
+    # lists were additionally truncated at their termination depth (those
+    # need per-render verification), and the cloud's cumulative opacity
+    # movement at measurement time (a later opacity swing past the refine
+    # margin's headroom voids the lists).
     refined: FlatFragments | None = field(default=None, repr=False)
-    capped_tile_ids: frozenset[int] = frozenset()
+    capped_subtiles: frozenset[int] = frozenset()
     refined_opacity_delta: float = 0.0
     last_used: int = 0
 
+    def base_fragments(self) -> FlatFragments:
+        """The culled full-list layout, rebuilt if a splice invalidated it."""
+        if self.fragments is None:
+            self.fragments = build_flat_fragments(self.intersections, self.cull_headroom)
+        return self.fragments
+
     @property
     def n_fragments(self) -> int:
-        return self.fragments.n_fragments
+        return self.base_fragments().n_fragments
 
 
 @dataclass(frozen=True)
@@ -448,7 +468,7 @@ class _ViewPlan:
     def fragments_used(self) -> FlatFragments:
         if self.entry.refined is not None and self.status != "miss":
             return self.entry.refined
-        return self.entry.fragments
+        return self.entry.base_fragments()
 
 
 class GeometryCache:
@@ -544,7 +564,7 @@ class GeometryCache:
             headroom = float(np.log(max(self.config.refine_margin, 1.0)))
             if cloud.cum_opacity_delta - entry.refined_opacity_delta > headroom:
                 entry.refined = None
-                entry.capped_tile_ids = frozenset()
+                entry.capped_subtiles = frozenset()
         return _ViewPlan(
             key=key, status=status, entry=entry, opacity_delta=cloud.cum_opacity_delta
         )
@@ -566,7 +586,8 @@ class GeometryCache:
         )
         grid = TileGrid(camera.width, camera.height, tile_size, subtile_size)
         intersections = build_tile_lists(projected, grid)
-        fragments = build_flat_fragments(intersections)
+        cull_headroom = max(self.config.refine_margin, 1.0)
+        fragments = build_flat_fragments(intersections, cull_headroom)
         entry = _CacheEntry(
             key=plan.key,
             cloud_uid=cloud.uid,
@@ -588,6 +609,7 @@ class GeometryCache:
             projected=projected,
             intersections=intersections,
             fragments=fragments,
+            cull_headroom=cull_headroom,
             current_epoch=cloud.epoch,
         )
         self._entries[plan.key] = entry
@@ -619,7 +641,7 @@ class GeometryCache:
         )
         if self._under_terminated(entry, fragments, result):
             self.stats.truncation_fallbacks += 1
-            fragments = entry.fragments
+            fragments = entry.base_fragments()
             result = rasterize_flat_into(
                 entry.projected,
                 entry.intersections,
@@ -649,6 +671,8 @@ class GeometryCache:
             colors=cloud.colors[rows],
             opacities=cloud.opacities(rows=rows),
         )
+        if not np.array_equal(projected.opacities, entry.projected.opacities):
+            entry.fragments = None
         entry.projected = projected
         entry.intersections = TileIntersections(
             grid=entry.intersections.grid,
@@ -660,20 +684,26 @@ class GeometryCache:
     def _under_terminated(
         self, entry: _CacheEntry, rendered: FlatFragments, result: RenderResult
     ) -> bool:
-        """True when a truncated tile left some pixel's compositing unfinished.
+        """True when a truncated subtile left some pixel's compositing unfinished.
 
-        Only tiles whose lists were capped at a termination depth need the
+        Only subtiles whose lists were capped at a termination depth need the
         check (contributing-pair drops have zero alpha and cannot absorb
         transmittance); for those, any pixel whose transmittance after the
         last rendered fragment is still at or above the termination threshold
         would have processed more fragments in a dense render.
         """
-        if not entry.capped_tile_ids or rendered is entry.fragments:
+        if not entry.capped_subtiles or rendered is entry.fragments:
             return False
+        capped = np.fromiter(entry.capped_subtiles, dtype=np.int64)
         for cache in result.tile_caches:
-            if cache.tile_id not in entry.capped_tile_ids:
+            n_blocks, n_pixels, _ = cache.shape
+            blocks = np.isin(cache.subtiles, capped)
+            if not blocks.any():
                 continue
-            trans_end = cache.transmittance_before[:, -1] * (1.0 - cache.alphas[:, -1])
+            pixel_rows = np.repeat(blocks, n_pixels)
+            trans_end = cache.transmittance_before[pixel_rows, -1] * (
+                1.0 - cache.alphas[pixel_rows, -1]
+            )
             if np.any(trans_end >= TRANSMITTANCE_EPS):
                 return True
         return False
@@ -683,18 +713,21 @@ class GeometryCache:
     ) -> None:
         """Rebuild the entry's fragment schedule from the render's buffers.
 
-        Two reductions over the per-tile caches (the software analogue of
+        Two reductions over the subtile blocks (the software analogue of
         reading the R&B Buffer back):
 
         * a pair whose best per-pixel raw alpha stays below ``ALPHA_CUTOFF /
-          refine_margin`` composites to exactly zero everywhere in the tile,
-          so dropping it leaves the output unchanged at this epoch, and the
-          margin's headroom covers the drift the tolerance admits before the
-          next full rebuild;
+          refine_margin`` composites to exactly zero everywhere in the
+          subtile, so dropping it leaves the output unchanged at this epoch,
+          and the margin's headroom covers the drift the tolerance admits
+          before the next full rebuild;
         * fragments deeper than the tile's termination depth (the deepest
-          per-pixel processed count) were visited by no pixel; the kept list
-          is capped there plus ``termination_margin`` headroom, and capped
-          tiles are recorded for the per-render verification.
+          per-pixel processed count, in dense list ranks) were visited by no
+          pixel of the tile; each subtile's kept list is capped there plus
+          ``termination_margin`` headroom, and capped subtiles are recorded
+          for the per-render verification.  The depth is taken per tile, not
+          per subtile: a 16-pixel maximum leaves too little headroom for the
+          next parameter step, and every miss costs a dense re-render.
 
         Schedules measured on an already-refined render only refine further;
         a miss resets the schedule to the full lists.
@@ -702,50 +735,47 @@ class GeometryCache:
         refine_margin = self.config.refine_margin
         termination_margin = self.config.termination_margin
         cutoff = ALPHA_CUTOFF / refine_margin if refine_margin > 0 else 0.0
-        opacities = result.projected.opacities
-        keep_rows: list[np.ndarray] = []
-        keep_lin: list[np.ndarray] = []
-        slices: list[tuple[int, int, int]] = []
-        capped: set[int] = set()
-        offset = 0
-        max_per_pixel = 0
-        # ``result.tile_caches`` aligns one-to-one with the non-empty tiles of
-        # the fragment list the render actually used.
-        for cache, pixel_lin in zip(result.tile_caches, rendered.tile_pixel_lin):
-            rows = cache.rows
+        opacities = np.append(result.projected.opacities, 0.0)  # sentinel row
+        spt = rendered.grid.subtiles_per_tile
+        tile_depth = np.zeros(rendered.grid.n_tiles, dtype=np.int64)
+        for cache in result.tile_caches:
+            block_depth = cache.dense_counts.reshape(cache.shape[:2]).max(axis=1)
+            np.maximum.at(tile_depth, cache.subtiles // spt, block_depth)
+        subtiles: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
+        ranks: list[np.ndarray] = []
+        capped: list[np.ndarray] = []
+        for cache in result.tile_caches:
+            shape = cache.shape
+            keep = cache.rows != rendered.sentinel
             if refine_margin > 0:
-                best_alpha = cache.gauss_values.max(axis=0) * opacities[rows]
-                keep = best_alpha >= cutoff
-                kept = rows[keep]
-            else:
-                keep = None
-                kept = rows
-            if termination_margin > 0 and kept.size:
-                depth = int(cache.processed.sum(axis=1).max())
-                kept_in_prefix = (
-                    int(np.count_nonzero(keep[:depth])) if keep is not None else depth
-                )
-                cap = kept_in_prefix + max(4, int(np.ceil(termination_margin * kept_in_prefix)))
-                if cap < kept.shape[0]:
-                    kept = kept[:cap]
-                    capped.add(cache.tile_id)
-            if kept.size == 0:
-                continue
-            n_frag = pixel_lin.shape[0] * kept.shape[0]
-            slices.append((cache.tile_id, offset, offset + n_frag))
-            keep_rows.append(kept)
-            keep_lin.append(pixel_lin)
-            offset += n_frag
-            max_per_pixel = max(max_per_pixel, kept.shape[0])
-        entry.refined = FlatFragments(
-            width=entry.fragments.width,
-            tile_slices=slices,
-            tile_rows=keep_rows,
-            tile_pixel_lin=keep_lin,
-            n_fragments=offset,
-            max_per_pixel=max_per_pixel,
+                best_alpha = cache.gauss_values.reshape(shape).max(axis=1)
+                keep &= best_alpha * opacities[cache.rows] >= cutoff
+            if termination_margin > 0:
+                depth = tile_depth[cache.subtiles // spt]
+                kept_so_far = np.cumsum(keep, axis=1)
+                in_prefix = (keep & (cache.ranks < depth[:, None])).sum(axis=1)
+                cap = in_prefix + np.maximum(4, np.ceil(termination_margin * in_prefix))
+                is_capped = cap < kept_so_far[:, -1]
+                keep &= kept_so_far <= cap[:, None]
+                capped.append(cache.subtiles[is_capped])
+            block, column = np.nonzero(keep)
+            subtiles.append(cache.subtiles[block])
+            rows.append(cache.rows[block, column])
+            ranks.append(cache.ranks[block, column])
+        empty = np.zeros(0, dtype=np.int64)
+        entry.refined = assemble_fragments(
+            rendered.grid,
+            rendered.sentinel,
+            rendered.list_offsets,
+            np.concatenate(subtiles) if subtiles else empty,
+            np.concatenate(rows) if rows else empty,
+            np.concatenate(ranks) if ranks else empty,
+            rendered.dense_fragments,
         )
-        entry.capped_tile_ids = frozenset(capped)
+        entry.capped_subtiles = frozenset(
+            np.concatenate(capped).tolist() if capped else ()
+        )
 
     def _touch(self, entry: _CacheEntry) -> None:
         if self._shared_clock is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -135,6 +135,14 @@ class TileRenderCache:
             return np.zeros(self.n_pixels, dtype=int)
         return self.processed.sum(axis=1).astype(int)
 
+    def column_rows(self) -> np.ndarray:
+        """Projected row of every fragment column."""
+        return self.rows
+
+    def sum_over_pixels(self, values: np.ndarray) -> np.ndarray:
+        """Sum a per-fragment ``(P, M)`` array over the tile's pixels."""
+        return values.sum(axis=0)
+
 
 @dataclass
 class RenderResult:
@@ -146,7 +154,10 @@ class RenderResult:
     fragments_per_pixel: np.ndarray  # (H, W) int
     projected: ProjectedGaussians
     intersections: TileIntersections
-    tile_caches: list[TileRenderCache]
+    # Forward intermediates reused by the backward pass: one TileRenderCache
+    # per non-empty tile (tile backend) or one
+    # repro.gaussians.fast_raster.SubtileBlockCache per subtile bucket (flat).
+    tile_caches: list
     camera: Camera
     pose_cw: SE3
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -170,15 +181,34 @@ class RenderResult:
         """Return per-(tile, subtile) fragment counts, shape ``(n_tiles, subtiles_per_tile)``.
 
         This is the workload that RTGS streams to Rendering Engines one subtile
-        at a time.
+        at a time.  Summed from the per-pixel map, so it holds for every
+        backend whatever order its caches list pixels in.
         """
         grid = self.grid
-        counts = np.zeros((grid.n_tiles, grid.subtiles_per_tile), dtype=int)
-        for cache in self.tile_caches:
-            per_pixel = cache.fragments_per_pixel()
-            subtile_ids = grid.subtile_of_pixel_offsets(cache.tile_id)[: len(per_pixel)]
-            np.add.at(counts[cache.tile_id], subtile_ids, per_pixel)
-        return counts
+        counts = np.bincount(
+            grid.subtile_layout().subtile_of_pixel,
+            weights=self.fragments_per_pixel.ravel(),
+            minlength=grid.n_tiles * grid.subtiles_per_tile,
+        )
+        return counts.astype(int).reshape(grid.n_tiles, grid.subtiles_per_tile)
+
+    def sum_per_gaussian(
+        self, per_fragment: "Callable[[object], np.ndarray]"
+    ) -> np.ndarray:
+        """Sum a per-fragment quantity per visible Gaussian, shape ``(n_visible,)``.
+
+        ``per_fragment(cache)`` returns an array shaped like ``cache.weights``
+        for each entry of ``tile_caches``; padding columns of flat renders
+        land on the sentinel row past ``n_visible`` and are dropped.
+        """
+        n_visible = self.projected.n_visible
+        if not self.tile_caches:
+            return np.zeros(n_visible)
+        rows = np.concatenate([cache.column_rows() for cache in self.tile_caches])
+        sums = np.concatenate(
+            [cache.sum_over_pixels(per_fragment(cache)) for cache in self.tile_caches]
+        )
+        return np.bincount(rows, weights=sums, minlength=n_visible + 1)[:n_visible]
 
 
 def rasterize(

@@ -242,7 +242,9 @@ class TestValidationAndReuse:
         tiny = allocate_flat_arena(1)
         batch, _ = _batch_for(spec, 2, arena=tiny)
         assert batch.arena is not tiny
-        assert batch.arena.n_fragments >= batch.n_fragments_total
+        assert batch.arena.n_fragments >= sum(
+            cache.weights.size for view in batch.views for cache in view.tile_caches
+        )
 
     def test_shared_preprocess_rowwise_identical(self):
         spec = _spec()

@@ -65,6 +65,11 @@ def _render(cloud, spec, cache=None):
     )
 
 
+def _slots(view) -> int:
+    """Arena rows one flat render computed (padding included)."""
+    return sum(cache.weights.size for cache in view.tile_caches)
+
+
 def _assert_bitwise_equal(a, b):
     for name in ("image", "depth", "alpha", "fragments_per_pixel"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -171,9 +176,7 @@ class TestArenaRecycling:
         bigger = rasterize_batch(
             spec.cloud, [spec.camera] * 3, poses, arena=small.arena
         )
-        assert bigger.arena.n_fragments >= 3 * small.views[0].n_fragments or (
-            bigger.arena.n_fragments >= sum(v.n_fragments for v in bigger.views)
-        )
+        assert bigger.arena.n_fragments >= sum(_slots(v) for v in bigger.views)
         # Shrinking back reuses the high-water-mark buffer outright.
         again_small = rasterize_batch(
             spec.cloud, [spec.camera], poses[:1], arena=bigger.arena
@@ -319,8 +322,8 @@ class TestRefinement:
         )
         _render(cloud, spec, cache)
         (entry,) = cache._entries.values()
-        if not entry.capped_tile_ids:
-            pytest.skip("scenario produced no capped tiles")
+        if not entry.capped_subtiles:
+            pytest.skip("scenario produced no capped subtiles")
         # Collapse every opacity: fragments past the old termination depth
         # now matter, so the capped schedule under-terminates.  (Logit drop
         # keeps the refinement-validity headroom: only opacity *increases*
@@ -329,6 +332,27 @@ class TestRefinement:
         refreshed = _render(cloud, spec, cache)
         assert cache.stats.truncation_fallbacks == 1
         _assert_bitwise_equal(refreshed, _render(cloud, spec))
+
+    def test_refined_schedule_survives_opacity_growth_within_headroom(self):
+        # The subtile cull reads opacities: pairs it drops must stay below the
+        # cutoff while opacities grow within the refine margin's headroom,
+        # exactly like refined-away pairs, or the refined schedule would miss
+        # fragments that now contribute.
+        spec = _spec()
+        cloud = spec.cloud.copy()
+        cache = GeometryCache(GeomCacheConfig(tolerance_px=0.0, refine_margin=8.0))
+        _render(cloud, spec, cache)
+        (entry,) = cache._entries.values()
+        assert entry.refined is not None
+        cloud.apply_parameter_step(d_opacity_logits=np.full(len(cloud), 1.5))
+        refreshed = _render(cloud, spec, cache)
+        assert refreshed.cache_status == "refresh"
+        assert entry.refined is not None
+        uncached = _render(cloud, spec)
+        np.testing.assert_allclose(refreshed.image, uncached.image, atol=1e-12)
+        np.testing.assert_array_equal(
+            refreshed.fragments_per_pixel, uncached.fragments_per_pixel
+        )
 
     def test_opacity_surge_voids_refinement(self):
         spec = _spec()

@@ -100,6 +100,43 @@ class TestTiling:
         grid = TileGrid(64, 64, tile_size=16)
         assert grid.tiles_overlapping(np.array([500.0, 500.0]), 10.0).size == 0
 
+    def test_geometry_memo_shared_across_grids(self):
+        # Renders build a fresh grid per call; the pixel geometry is memoised
+        # per shape, so two grids of one shape hand out the same arrays.
+        first, second = TileGrid(45, 34), TileGrid(45, 34)
+        assert first is not second
+        assert first._geometry is second._geometry
+        assert first.tile_pixel_coordinates(8) is second.tile_pixel_coordinates(8)
+        assert first.subtile_of_pixel_offsets(8) is second.subtile_of_pixel_offsets(8)
+        assert first.subtile_layout() is second.subtile_layout()
+        assert TileGrid(45, 34, subtile_size=8)._geometry is not first._geometry
+        layout = first.subtile_layout()
+        for array in (layout.pixels, layout.coords, first.tile_pixel_coordinates(8)):
+            assert not array.flags.writeable
+
+    def test_subtile_layout_partitions_ragged_grid(self):
+        grid = TileGrid(45, 34, tile_size=16, subtile_size=4)
+        layout = grid.subtile_layout()
+        covered = np.zeros(45 * 34, dtype=int)
+        for subtile, count in enumerate(layout.n_pixels):
+            pixels = layout.pixels[subtile, :count]
+            covered[pixels] += 1
+            assert np.all(layout.subtile_of_pixel[pixels] == subtile)
+            np.testing.assert_array_equal(
+                layout.coords[subtile, :count],
+                np.stack([pixels % 45 + 0.5, pixels // 45 + 0.5], axis=1),
+            )
+        assert np.all(covered == 1)
+        # The last tile row is 2 px tall: its lower three subtile rows are empty.
+        assert layout.n_pixels.reshape(grid.n_tiles, 16)[-1, 4:].sum() == 0
+        for tile_id in range(grid.n_tiles):
+            offsets = grid.subtile_of_pixel_offsets(tile_id)
+            x0, y0, x1, y1 = grid.tile_bounds(tile_id)
+            lin = (np.arange(y0, y1)[:, None] * 45 + np.arange(x0, x1)[None, :]).ravel()
+            np.testing.assert_array_equal(
+                layout.subtile_of_pixel[lin], tile_id * 16 + offsets
+            )
+
 
 class TestSorting:
     def test_per_tile_lists_are_depth_sorted(self, small_cloud, small_camera, simple_pose):
